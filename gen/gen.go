@@ -1,7 +1,8 @@
 // Package gen exposes the tree generators used by the paper's
 // experiments: the five synthetic shapes of Figure 7, bounded random
 // trees, and shape-faithful simulators of the SwissProt, TreeBank and
-// TreeFam datasets (see DESIGN.md §5 for the substitution rationale).
+// TreeFam datasets (see internal/treegen/datasets.go for the substitution
+// rationale).
 // All generators are deterministic in their seed.
 package gen
 

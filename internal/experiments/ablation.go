@@ -13,7 +13,7 @@ import (
 	"repro/internal/treegen"
 )
 
-// Ablations beyond the paper (DESIGN.md §3): quantify the design choices
+// Ablations beyond the paper: quantify the design choices
 // of the LRH class itself.
 //
 //   - ablation-lr: optimal strategy restricted to {left,right} paths vs

@@ -1,5 +1,5 @@
 // Package experiments regenerates every figure and table of the paper's
-// evaluation (Section 8), plus the ablations DESIGN.md defines. Each
+// evaluation (Section 8), plus the ablations listed in ablation.go. Each
 // experiment writes a plain-text table (tab-separated, with a header
 // comment describing the paper artifact it reproduces) so results can be
 // diffed, plotted, and recorded in EXPERIMENTS.md.

@@ -9,9 +9,10 @@ import (
 	"repro/internal/treegen"
 )
 
-// Table 2: on the TreeFam phylogeny dataset (simulated; see DESIGN.md
-// §5), partition trees by size (<500, 500–1000, >1000), sample 20 trees
-// per partition, and for every partition pair report the ratio of
+// Table 2: on the TreeFam phylogeny dataset (simulated; see
+// internal/treegen/datasets.go), partition trees by size (<500,
+// 500–1000, >1000), sample 20 trees per partition, and for every
+// partition pair report the ratio of
 // relevant subproblems computed by RTED with respect to (a) the best and
 // (b) the worst competitor over all tree pairs of the two partitions.
 // The paper's result: RTED is always below 100% of the best competitor

@@ -31,6 +31,10 @@ type Arena struct {
 	// and the depth-spectra scratch of standalone runners.
 	fdB      []float64
 	spF, spG []int32
+	// Exact ΔL/ΔR runs: per-keyroot T2 column arrays (node id,
+	// view-leftmost-leaf offset and insert cost per prefix column).
+	kN2, kFL []int32
+	kIns     []float64
 }
 
 // NewArena returns an empty arena. The zero value is also ready to use.

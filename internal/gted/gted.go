@@ -68,8 +68,10 @@ type Stats struct {
 	// SPFByChoice breaks SPFCalls down by decomposition choice.
 	SPFByChoice [6]int64
 	// MaxLiveRows is the peak number of simultaneously retained ΔI rows;
-	// it measures the working memory of the heavy-path DP (see
-	// DESIGN.md).
+	// it measures the working memory of the heavy-path DP. A chain-state
+	// row is released once no later state reads it (the next state, and
+	// for a strip removal the state after the removed subtree), so the
+	// peak grows with the nesting depth of off-path strips only.
 	MaxLiveRows int
 }
 
@@ -703,7 +705,7 @@ func (r *Runner) runSPF(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strateg
 	dv := dview{d: r.d, ng: r.g.Len(), swap: swap}
 	switch pt {
 	case strategy.Left:
-		r.spfLR(leftView(t1, nil), v1, leftView(t2, nil), v2, cm, dv, tcut)
+		r.spfLR(leftView(t1), v1, leftView(t2), v2, cm, dv, tcut)
 	case strategy.Right:
 		r.spfLR(rightView(t1, r.mirrorLeafmost(t1)), v1, rightView(t2, r.mirrorLeafmost(t2)), v2, cm, dv, tcut)
 	default:
@@ -757,6 +759,15 @@ func (dv dview) get(x, y int) float64 {
 		x, y = y, x
 	}
 	return dv.d[x*dv.ng+y]
+}
+
+// line returns where x's entries lie: get(x, y) reads d[base+y*stride].
+// Hot loops fix x for a whole row and index with it directly.
+func (dv dview) line(x int) (base, stride int) {
+	if dv.swap {
+		return x, dv.ng
+	}
+	return x * dv.ng, 1
 }
 
 func (dv dview) set(x, y int, val float64) {

@@ -33,6 +33,29 @@ import (
 // Rows (one per chain state, |A(G)| cells each) are produced bottom-up
 // and released by reference counting once no later state reads them.
 //
+// Exact and bounded runs take different loops. A bounded run reads every
+// forest through gside.cell, which canonicalizes a first, and tests the
+// band per read (spfIBounded). An exact run (spfIExact) instead runs one
+// closure-free loop per state kind — whole tree, right strip, left
+// strip — over per-call cell-index tables, so no read canonicalizes:
+//
+//   - kid[la]: the child forest of the node at la, read by the base cell
+//     of whole-tree and right-strip states;
+//   - tcell[lb]: the whole subtree at local post lb, which whole-tree
+//     states pair with F_u when they split off the rightmost G tree;
+//   - nextL[c], jumpL[c]: the left-removal targets (la+1, lb) and
+//     (la+size(n0), lb) of cell c, read by left-strip states and built
+//     only when the chain has such states.
+//
+// Right-removal reads need no table. Removing the rightmost root lb (or
+// its whole subtree) from a forest (la, lb) with more than one root
+// never removes the node n0 at la, so la stays canonical and the target
+// is c−1 (or c−size(lb)) in the same la-run. An empty target maps to the
+// fixed slot rowLen of each row, which holds δ(F_t, ∅) (0 in insRow), so
+// no read branches on an empty G forest. Each cell keeps the bounded
+// loop's float operands and min order, so both loops agree bit for bit
+// wherever the bounded run prunes nothing.
+//
 // ΔI rows stay dense even under SetSparseRows: a row is indexed by the
 // (a, b) decomposition cells, whose admissible band is a different
 // contiguous span per la-run, so compressing it would need a per-(row,
@@ -49,6 +72,7 @@ type chain struct {
 	dirR    []bool    // removal direction at state t (true = rightmost)
 	delCost []float64 // delCost[t] = total delete cost of state t's forest; len s1+1
 	refs    []int32   // number of later states that read row t; len s1+1
+	hasLeft bool      // some state removes from the left (a left-strip state)
 }
 
 // build (re)fills ch for the subtree of t rooted at v, reusing the
@@ -68,6 +92,7 @@ func (ch *chain) build(t *tree.Tree, v int, pt strategy.PathType, del []float64)
 	}
 	ch.refs[s1] = 0
 	ch.delCost[s1] = 0
+	ch.hasLeft = false
 	pos := 0
 	for u := v; u != -1; u = strategy.PathChild(t, u, pt) {
 		// The whole subtree F_u is a chain state; removing its root u
@@ -92,6 +117,7 @@ func (ch *chain) build(t *tree.Tree, v int, pt strategy.PathType, del []float64)
 				x := t.ByPre(p)
 				ch.rem[pos] = int32(x)
 				ch.size[pos] = int32(t.Size(x))
+				ch.hasLeft = true
 				pos++
 			}
 		}
@@ -136,9 +162,15 @@ type gside struct {
 	sz      []int32   // local post -> subtree size
 	off     []int32   // la -> storage offset of cell (la, minB(la)); len s2+1
 	szCell  []int32   // per cell: forest node count
-	insRow  []float64 // per cell: total insert cost of the forest (= δ(∅, g))
+	insRow  []float64 // per cell: total insert cost of the forest (= δ(∅, g)); plus a 0 empty-forest slot
 	prefIns []float64 // local-postorder insert-cost prefix sums; len s2+1
 	canon   int64     // number of canonical cells = |A(G_w)|
+	// Cell-index tables of the exact loop (rowLen marks the empty
+	// forest): kid[la] is the cell of the child forest of the node at la,
+	// tcell[lp] the cell of the whole subtree at local post lp; nextL and
+	// jumpL are per-cell left-removal targets (buildLeftTables).
+	kid, tcell   []int32
+	nextL, jumpL []int32
 }
 
 // build (re)fills gs for the subtree of t rooted at w, reusing the
@@ -171,15 +203,28 @@ func (gs *gside) build(t *tree.Tree, w int, ins []float64) {
 	for la := 0; la < s2; la++ {
 		gs.off[la+1] = gs.off[la] + int32(s2) - gs.lByPre[la]
 	}
+	gs.tcell = growI32(&gs.tcell, s2)
+	for lp := 0; lp < s2; lp++ {
+		gs.tcell[lp] = gs.off[gs.lPre[lp]]
+	}
 	rowLen := int(gs.off[s2])
 	gs.szCell = growI32(&gs.szCell, rowLen)
-	gs.insRow = growF64(&gs.insRow, rowLen)
+	gs.insRow = growF64(&gs.insRow, rowLen+1)
+	gs.insRow[rowLen] = 0
+	gs.kid = growI32(&gs.kid, s2)
 	for la := 0; la < s2; la++ {
 		n0 := int(gs.lByPre[la]) // local post of the node at preorder la
 		base := int(gs.off[la])
 		gs.szCell[base] = gs.sz[n0]
 		gs.insRow[base] = prefIns[n0+1] - prefIns[n0-int(gs.sz[n0])+1]
 		gs.canon++
+		// The child forest of n0 is (la+1, n0−1); its first child sits
+		// at preorder la+1, so the start needs no canonicalizing.
+		if gs.sz[n0] == 1 {
+			gs.kid[la] = int32(rowLen)
+		} else {
+			gs.kid[la] = gs.off[la+1] + int32(n0-1) - gs.lByPre[la+1]
+		}
 		for lb := n0 + 1; lb < s2; lb++ {
 			c := base + lb - n0
 			if int(gs.lPre[lb]) >= la {
@@ -204,6 +249,45 @@ func (gs *gside) cell(la, lb int) int {
 	return int(gs.off[la]) + lb - int(gs.lByPre[la])
 }
 
+// buildLeftTables fills the left-removal tables of the exact loop: for
+// every cell c = (la, lb), nextL[c] is the cell of (la+1, lb) — the
+// forest minus its leftmost root n0 — and jumpL[c] the cell of
+// (la+size(n0), lb) — the forest minus n0's whole subtree — or rowLen
+// (the empty-forest slot) when that forest is empty.
+func (gs *gside) buildLeftTables() {
+	rowLen := len(gs.szCell)
+	gs.nextL = growI32(&gs.nextL, rowLen)
+	gs.jumpL = growI32(&gs.jumpL, rowLen)
+	for la := 0; la < gs.s2; la++ {
+		n0sz := gs.sz[gs.lByPre[la]]
+		gs.leftTargets(gs.nextL, la, la+1, 1)
+		gs.leftTargets(gs.jumpL, la, la+int(n0sz), n0sz)
+	}
+}
+
+// leftTargets fills tab over la's run with the cells of (from, lb): the
+// forest (la, lb) without its nodes at preorder la..from−1, of which drop
+// lie in the forest, so a forest of exactly drop nodes maps to the empty
+// slot. Within one run the canonical start of (from, lb) only moves
+// right as lb falls, so one pointer canonicalizes the whole run.
+func (gs *gside) leftTargets(tab []int32, la, from int, drop int32) {
+	n0 := int(gs.lByPre[la])
+	base, end := int(gs.off[la]), int(gs.off[la+1])
+	empty := int32(len(gs.szCell))
+	a := from
+	for c := end - 1; c >= base; c-- {
+		if gs.szCell[c] == drop {
+			tab[c] = empty
+			continue
+		}
+		lb := n0 + c - base
+		for int(gs.lByPre[a]) > lb {
+			a++
+		}
+		tab[c] = gs.off[a] + int32(lb) - gs.lByPre[a]
+	}
+}
+
 // spfI runs the ΔI DP for the subtree of t1 rooted at v1, decomposed
 // along its path of type pt, against the subtree of t2 rooted at v2.
 // Precondition: the distance matrix holds δ(T1_x, T2_y) for every x in a
@@ -215,10 +299,8 @@ func (gs *gside) cell(la, lb int) int {
 func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.PathType, cm *cost.Compiled, dv dview, tcut float64) {
 	ch := &r.ar.ch
 	ch.build(t1, v1, pt, cm.Del)
-	gs := &r.ar.gs
-	gs.build(t2, v2, cm.Ins)
-	s1, s2 := t1.Size(v1), gs.s2
-	rowLen := len(gs.szCell)
+	r.ar.gs.build(t2, v2, cm.Ins)
+	s1 := t1.Size(v1)
 
 	// Chain-state rows come from the arena: the rows slice is grown in
 	// place (entries beyond the previous length are nil by the cleanup
@@ -229,27 +311,213 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 		r.ar.rows = grown
 	}
 	rows := r.ar.rows[:s1+1]
-	alloc := func() []float64 {
-		if n := len(r.ar.rowPool); n > 0 {
-			b := r.ar.rowPool[n-1]
-			r.ar.rowPool = r.ar.rowPool[:n-1]
-			if cap(b) >= rowLen {
-				return b[:rowLen]
-			}
-		}
-		return make([]float64, rowLen)
+
+	// With both operation minima zero no size argument can prove a cell
+	// above the cutoff, so such a run is exact.
+	bounded := r.bounded && !math.IsInf(tcut, 1)
+	if bounded {
+		oc := r.opCostsFor(cm)
+		bounded = oc.dmin > 0 || oc.imin > 0
 	}
-	release := func(t int) {
-		if t >= s1 {
-			return // the empty state is virtual (insRow/delCost)
-		}
-		ch.refs[t]--
-		if ch.refs[t] == 0 {
-			r.ar.rowPool = append(r.ar.rowPool, rows[t])
+	if bounded {
+		r.spfIBounded(t1, v1, t2, v2, cm, dv, tcut, rows)
+	} else {
+		r.spfIExact(cm, dv, rows)
+	}
+	// Return surviving rows (row 0, plus any still-referenced rows when
+	// s1 == 0 edge cases) to the pool. This restores the invariant that
+	// every entry of the arena's rows slice is nil between SPF calls.
+	for t, b := range rows {
+		if b != nil {
 			rows[t] = nil
+			r.ar.rowPool = append(r.ar.rowPool, b)
 			r.liveRows--
 		}
 	}
+}
+
+// takeRow installs a pooled buffer as chain state t's row and accounts
+// it. A row holds the rowLen decomposition cells plus the empty-forest
+// slot at index rowLen, which only the exact loop uses.
+func (r *Runner) takeRow(rows [][]float64, t, rowLen int) []float64 {
+	var row []float64
+	if n := len(r.ar.rowPool); n > 0 {
+		b := r.ar.rowPool[n-1]
+		r.ar.rowPool = r.ar.rowPool[:n-1]
+		if cap(b) > rowLen {
+			row = b[:rowLen+1]
+		}
+	}
+	if row == nil {
+		row = make([]float64, rowLen+1)
+	}
+	rows[t] = row
+	r.stats.RowCells += int64(rowLen)
+	r.liveRows++
+	if r.liveRows > r.stats.MaxLiveRows {
+		r.stats.MaxLiveRows = r.liveRows
+	}
+	return row
+}
+
+// dropRow releases one read of chain state t's row and returns the row
+// to the pool once no later state reads it.
+func (r *Runner) dropRow(rows [][]float64, t int) {
+	if t >= len(rows)-1 {
+		return // the empty state is virtual (insRow/delCost)
+	}
+	ch := &r.ar.ch
+	ch.refs[t]--
+	if ch.refs[t] == 0 {
+		r.ar.rowPool = append(r.ar.rowPool, rows[t])
+		rows[t] = nil
+		r.liveRows--
+	}
+}
+
+// spfIExact is the ΔI DP of an exact run. Every read is a precomputed
+// cell index (see the cell-index tables in the file comment) and every
+// state kind runs its own loop; each cell evaluates the same float
+// operands in the same min order as spfIBounded, so the two agree bit
+// for bit wherever the bounded run prunes nothing.
+func (r *Runner) spfIExact(cm *cost.Compiled, dv dview, rows [][]float64) {
+	ch, gs := &r.ar.ch, &r.ar.gs
+	s1, s2, g0 := len(rows)-1, gs.s2, gs.g0
+	rowLen := len(gs.szCell)
+	if ch.hasLeft {
+		gs.buildLeftTables()
+	}
+	lPre, lByPre, sz, off := gs.lPre[:s2], gs.lByPre[:s2], gs.sz[:s2], gs.off[:s2+1]
+	kid, tcell := gs.kid[:s2], gs.tcell[:s2]
+	insRow := gs.insRow[:rowLen+1]
+	ins := cm.Ins[g0 : g0+s2] // local postorder -> insert cost
+	d := dv.d
+	for t := s1 - 1; t >= 0; t-- {
+		row := r.takeRow(rows, t, rowLen)
+		r.stats.Subproblems += gs.canon
+		row[rowLen] = ch.delCost[t]
+		u := int(ch.rem[t])
+		delU := cm.Del[u]
+		next := insRow
+		if t+1 < s1 {
+			next = rows[t+1]
+		}
+		jump := t + int(ch.size[t])
+		jr := insRow
+		if jump < s1 {
+			jr = rows[jump]
+		}
+		// δ(F_u, G_y) for the node at local postorder y sits at d[dg+y*ds].
+		dg, ds := dv.line(u)
+		dg += g0 * ds
+
+		switch {
+		case ch.isTree[t]:
+			for la := s2 - 1; la >= 0; la-- {
+				n0 := int(lByPre[la])
+				base, end := int(off[la]), int(off[la+1])
+				k := kid[la]
+				// Tree × tree (Figure 2, second case): delete the F-root,
+				// insert the G-root (leaving its child forest), or rename.
+				val := next[base] + delU
+				if x := row[k] + ins[n0]; x < val {
+					val = x
+				}
+				if x := next[k] + cm.Ren(u, g0+n0); x < val {
+					val = x
+				}
+				row[base] = val
+				d[dg+n0*ds] = val
+				// Whole path subtree F_u vs a proper forest: the split
+				// (3)+(4) pairs F_u with the rightmost G subtree (computed
+				// earlier in this row, at its own run's base cell) and
+				// leaves δ(∅, rest).
+				for c, lb := base+1, n0+1; c < end; c, lb = c+1, lb+1 {
+					if int(lPre[lb]) < la {
+						row[c] = row[c-1] // duplicate cell
+						continue
+					}
+					val := next[c] + delU
+					if x := row[c-1] + ins[lb]; x < val {
+						val = x
+					}
+					if x := row[tcell[lb]] + insRow[c-int(sz[lb])]; x < val {
+						val = x
+					}
+					row[c] = val
+				}
+			}
+		case ch.dirR[t]:
+			// Forest state, removing from the right: u roots a whole
+			// off-path subtree whose distances to all G subtrees are in
+			// the matrix.
+			for la := s2 - 1; la >= 0; la-- {
+				n0 := int(lByPre[la])
+				base, end := int(off[la]), int(off[la+1])
+				// Base cell G_n0: inserting its root leaves the child
+				// forest, matching u with it leaves nothing.
+				val := next[base] + delU
+				if x := row[kid[la]] + ins[n0]; x < val {
+					val = x
+				}
+				if x := d[dg+n0*ds] + jr[rowLen]; x < val {
+					val = x
+				}
+				row[base] = val
+				for c, lb := base+1, n0+1; c < end; c, lb = c+1, lb+1 {
+					if int(lPre[lb]) < la {
+						row[c] = row[c-1] // duplicate cell
+						continue
+					}
+					val := next[c] + delU
+					if x := row[c-1] + ins[lb]; x < val {
+						val = x
+					}
+					if x := d[dg+lb*ds] + jr[c-int(sz[lb])]; x < val {
+						val = x
+					}
+					row[c] = val
+				}
+			}
+		default:
+			// Forest state, removing from the left: the G-side partner
+			// is always the run's leftmost root n0, so its insert cost and
+			// matrix entry are per-run constants.
+			nextL, jumpL := gs.nextL[:rowLen], gs.jumpL[:rowLen]
+			for la := s2 - 1; la >= 0; la-- {
+				n0 := int(lByPre[la])
+				base, end := int(off[la]), int(off[la+1])
+				insN := ins[n0]
+				dN := d[dg+n0*ds]
+				for c, lb := base, n0; c < end; c, lb = c+1, lb+1 {
+					if int(lPre[lb]) < la {
+						row[c] = row[c-1] // duplicate cell
+						continue
+					}
+					val := next[c] + delU
+					if x := row[nextL[c]] + insN; x < val {
+						val = x
+					}
+					if x := dN + jr[jumpL[c]]; x < val {
+						val = x
+					}
+					row[c] = val
+				}
+			}
+		}
+		r.dropRow(rows, t+1)
+		if !ch.isTree[t] {
+			r.dropRow(rows, jump)
+		}
+	}
+}
+
+// spfIBounded is the ΔI DP of a bounded run: the structural band by
+// default, the per-cell slack predicate with banding off (SetBanding).
+func (r *Runner) spfIBounded(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, cm *cost.Compiled, dv dview, tcut float64, rows [][]float64) {
+	ch, gs := &r.ar.ch, &r.ar.gs
+	s1, s2 := len(rows)-1, gs.s2
+	rowLen := len(gs.szCell)
 	// at returns δ(F_t', G-forest(la, lb)) for a forest of known size.
 	at := func(tt, la, lb, gsz int) float64 {
 		if gsz == 0 {
@@ -263,14 +531,9 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 	}
 
 	// Band pruning setup, as in spfLR.
-	bounded := r.bounded && !math.IsInf(tcut, 1)
-	var dmin, imin float64
-	if bounded {
-		oc := r.opCostsFor(cm)
-		dmin, imin = oc.dmin, oc.imin
-		bounded = dmin > 0 || imin > 0
-		tcut += r.cutPad(tcut)
-	}
+	oc := r.opCostsFor(cm)
+	dmin, imin := oc.dmin, oc.imin
+	tcut += r.cutPad(tcut)
 	inf := math.Inf(1)
 	// Structural band (default): for a fixed chain state the admissible
 	// G-forest sizes form one interval, and within one la-run of the
@@ -280,7 +543,7 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 	// cells hold stale scratch; atB guards every read that can land on
 	// one and prices it +Inf, sound because an out-of-band forest pair
 	// needs more than maxD deletions or maxI insertions (SetCutoff).
-	banded := bounded && r.banded
+	banded := r.banded
 	var maxD, maxI int
 	if banded {
 		// Sharp per-region pricing (SetSharpBands): every deleted node
@@ -318,13 +581,7 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 	}
 
 	for t := s1 - 1; t >= 0; t-- {
-		row := alloc()
-		rows[t] = row
-		r.stats.RowCells += int64(rowLen)
-		r.liveRows++
-		if r.liveRows > r.stats.MaxLiveRows {
-			r.stats.MaxLiveRows = r.liveRows
-		}
+		row := r.takeRow(rows, t, rowLen)
 		u := int(ch.rem[t])
 		uSz := int(ch.size[t])
 		isT := ch.isTree[t]
@@ -332,9 +589,6 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 		jump := t + uSz
 		delU := cm.Del[u]
 		fSz := s1 - t // F-side forest size of this chain state
-		if !bounded {
-			r.stats.Subproblems += gs.canon
-		}
 
 		if banded {
 			loSz, hiSz := fSz-maxD, fSz+maxI
@@ -454,9 +708,9 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 					row[c] = val
 				}
 			}
-			release(t + 1)
+			r.dropRow(rows, t+1)
 			if !isT {
-				release(jump)
+				r.dropRow(rows, jump)
 			}
 			continue
 		}
@@ -475,18 +729,16 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 					continue
 				}
 				gSz := int(gs.szCell[c])
-				if bounded {
-					if d := fSz - gSz; (d > 0 && float64(d)*dmin > tcut) ||
-						(d < 0 && float64(-d)*imin > tcut) {
-						row[c] = inf
-						r.stats.PrunedSubproblems++
-						if isT && gSz == n0sz {
-							dv.set(u, gs.g0+lb, inf)
-						}
-						continue
+				if d := fSz - gSz; (d > 0 && float64(d)*dmin > tcut) ||
+					(d < 0 && float64(-d)*imin > tcut) {
+					row[c] = inf
+					r.stats.PrunedSubproblems++
+					if isT && gSz == n0sz {
+						dv.set(u, gs.g0+lb, inf)
 					}
-					r.stats.Subproblems++
+					continue
 				}
+				r.stats.Subproblems++
 				var val float64
 				switch {
 				case isT && gSz == n0sz:
@@ -544,19 +796,9 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 				row[c] = val
 			}
 		}
-		release(t + 1)
+		r.dropRow(rows, t+1)
 		if !isT {
-			release(jump)
-		}
-	}
-	// Return surviving rows (row 0, plus any still-referenced rows when
-	// s1 == 0 edge cases) to the pool. This restores the invariant that
-	// every entry of the arena's rows slice is nil between SPF calls.
-	for t, b := range rows {
-		if b != nil {
-			rows[t] = nil
-			r.ar.rowPool = append(r.ar.rowPool, b)
-			r.liveRows--
+			r.dropRow(rows, jump)
 		}
 	}
 }

@@ -20,7 +20,7 @@ type zsview struct {
 	lfm    []int32 // mirror-coordinate leafmost, only set when mirror
 }
 
-func leftView(t *tree.Tree, _ []int32) zsview    { return zsview{t: t} }
+func leftView(t *tree.Tree) zsview               { return zsview{t: t} }
 func rightView(t *tree.Tree, lfm []int32) zsview { return zsview{t: t, mirror: true, lfm: lfm} }
 
 // coordOf maps a postorder node id to the view coordinate.
@@ -127,11 +127,15 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 	for _, kc := range ks {
 		jlo := view2.leafmost(kc)
 		s2k := kc - jlo + 1
-		if !bounded {
-			r.stats.Subproblems += int64(s1) * int64(s2k)
-		}
 		w := s2k + 1 // scratch row width
 
+		if !bounded {
+			fd := growF64(&r.ar.fd, (s1+1)*w)
+			r.stats.Subproblems += int64(s1) * int64(s2k)
+			r.stats.RowCells += int64(s1+1) * int64(w)
+			r.spfLRExactKeyroot(view1, lo1, s1, view2, jlo, kc, cm, dv, fd)
+			continue
+		}
 		if banded {
 			maxIK := maxI
 			if sharp && cm.InsSub != nil {
@@ -158,6 +162,8 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 			r.spfLRBandedKeyroot(view1, lo1, s1, view2, jlo, kc, cm, dv, fd, maxD, maxIK)
 			continue
 		}
+		// Unbanded bounded keyroot (SetBanding off): every cell is tested
+		// against the slack predicate one at a time.
 		fd := growF64(&r.ar.fd, (s1+1)*w)
 		r.stats.RowCells += int64(s1+1) * int64(w)
 		fd[0] = 0
@@ -176,18 +182,16 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 				n2 := view2.nodeOf(j)
 				fl2 := view2.leafmost(j)
 				tt := onPath1 && fl2 == jlo
-				if bounded {
-					if d := di - dj; (d > 0 && float64(d)*dmin > tcut) ||
-						(d < 0 && float64(-d)*imin > tcut) {
-						fd[di*w+dj] = inf
-						r.stats.PrunedSubproblems++
-						if tt {
-							dv.set(n1, n2, inf)
-						}
-						continue
+				if d := di - dj; (d > 0 && float64(d)*dmin > tcut) ||
+					(d < 0 && float64(-d)*imin > tcut) {
+					fd[di*w+dj] = inf
+					r.stats.PrunedSubproblems++
+					if tt {
+						dv.set(n1, n2, inf)
 					}
-					r.stats.Subproblems++
+					continue
 				}
+				r.stats.Subproblems++
 				del := fd[(di-1)*w+dj] + del1
 				ins := fd[di*w+dj-1] + cm.Ins[n2]
 				var match float64
@@ -209,6 +213,79 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 					dv.set(n1, n2, m)
 				}
 			}
+		}
+	}
+}
+
+// spfLRExactKeyroot runs one keyroot of an exact ΔL/ΔR DP over the dense
+// slab fd. The keyroot's T2 columns (node id, view-leftmost-leaf offset,
+// insert cost) are gathered once into arena arrays, each row's neighbour
+// rows and matrix line are hoisted, and rows are split on whether n1 is
+// on T1's view-left path: only those rows hold tree×tree cells (where
+// the T2 prefix is a whole tree too, fl2 = jlo), which rename and publish
+// into the matrix. Operands and min order per cell are the bounded
+// loops', so the results agree bit for bit wherever nothing is pruned.
+func (r *Runner) spfLRExactKeyroot(view1 zsview, lo1, s1 int, view2 zsview, jlo, kc int, cm *cost.Compiled, dv dview, fd []float64) {
+	s2k := kc - jlo + 1
+	w := s2k + 1
+	n2s := growI32(&r.ar.kN2, w)
+	fls := growI32(&r.ar.kFL, w)
+	insK := growF64(&r.ar.kIns, w)
+	fd[0] = 0
+	for dj := 1; dj <= s2k; dj++ {
+		j := jlo + dj - 1
+		n2 := view2.nodeOf(j)
+		n2s[dj] = int32(n2)
+		fls[dj] = int32(view2.leafmost(j) - jlo)
+		insK[dj] = cm.Ins[n2]
+		fd[dj] = fd[dj-1] + insK[dj]
+	}
+	d := dv.d
+	for di := 1; di <= s1; di++ {
+		i := lo1 + di - 1
+		n1 := view1.nodeOf(i)
+		del1 := cm.Del[n1]
+		prev := fd[(di-1)*w : di*w]
+		cur := fd[di*w : di*w+w]
+		cur[0] = prev[0] + del1
+		fl1 := view1.leafmost(i) - lo1
+		db, ds := dv.line(n1)
+		if fl1 != 0 {
+			// Off the path: every match splits at the leftmost subtrees,
+			// whose forest distances sit in row fl1.
+			lrow := fd[fl1*w : fl1*w+w]
+			for dj := 1; dj <= s2k; dj++ {
+				m := prev[dj] + del1
+				if x := cur[dj-1] + insK[dj]; x < m {
+					m = x
+				}
+				if x := lrow[fls[dj]] + d[db+int(n2s[dj])*ds]; x < m {
+					m = x
+				}
+				cur[dj] = m
+			}
+			continue
+		}
+		// On the path the split row is row 0.
+		for dj := 1; dj <= s2k; dj++ {
+			n2 := int(n2s[dj])
+			m := prev[dj] + del1
+			if x := cur[dj-1] + insK[dj]; x < m {
+				m = x
+			}
+			if fl := fls[dj]; fl != 0 {
+				if x := fd[fl] + d[db+n2*ds]; x < m {
+					m = x
+				}
+				cur[dj] = m
+				continue
+			}
+			// Both prefixes are whole trees rooted at n1, n2.
+			if x := prev[dj-1] + cm.Ren(n1, n2); x < m {
+				m = x
+			}
+			cur[dj] = m
+			d[db+n2*ds] = m
 		}
 	}
 }

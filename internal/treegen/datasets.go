@@ -10,7 +10,8 @@ import (
 // This file simulates the three real-world datasets of the paper's
 // evaluation. The originals (SwissProt XML, Penn TreeBank XML, TreeFam
 // phylogenies) are not redistributable, so seeded generators reproduce
-// their published shape statistics instead — see DESIGN.md §5. The
+// their published shape statistics instead: the experiments measure
+// decomposition behaviour, which depends on tree shape, not content. The
 // statistics the paper reports and the generators target:
 //
 //	SwissProt: flat and wide — max depth 4, max fanout 346, avg size 187
