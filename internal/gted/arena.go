@@ -2,10 +2,10 @@ package gted
 
 // Arena owns every reusable buffer a GTED run needs: the subtree-distance
 // matrix, the pair memo, the ΔL/ΔR forest-distance scratch, the ΔI row
-// pool, and the chain/decomposition scratch of ΔI. Buffers grow to the
-// largest pair ever run and are then reused verbatim, so a worker that
-// processes a stream of tree pairs through one Arena allocates nothing in
-// steady state.
+// pool, and the chain tables and decomposition scratch of ΔI. Buffers
+// grow to the largest pair ever run and are then reused verbatim, so a
+// worker that processes a stream of tree pairs through one Arena
+// allocates nothing in steady state.
 //
 // An Arena serves one Runner at a time (Runners are single-use and GTED's
 // single-path functions never nest). Creating a new Runner on an Arena
@@ -19,6 +19,7 @@ type Arena struct {
 	rowPool  [][]float64
 	rows     [][]float64
 	ch       chain
+	chains   [2]chainTable
 	gs       gside
 	// Banded bounded runs: per-subtree height arrays (keyroot-level
 	// band) and the T2 path-chain coordinates of one ΔL/ΔR keyroot

@@ -20,8 +20,10 @@ type pinPair struct {
 
 // kernelPinPairs returns small pairs covering the ΔI state kinds and the
 // ΔL/ΔR row cases: single nodes, leaf-only children, left/right-branch,
-// zig-zag, full binary and mixed shapes, and a random pair. Shape trees
-// are relabelled from three labels so renames are not all free.
+// zig-zag, full binary and mixed shapes, a random pair, and a random
+// 30-node tree against one node (the one-node ΔI path; its heavy chain
+// has whole-tree, left-strip and right-strip states). Shape trees are
+// relabelled from three labels so renames are not all free.
 func kernelPinPairs() []pinPair {
 	rng := rand.New(rand.NewSource(31))
 	relabel := func(t *tree.Tree) *tree.Tree {
@@ -47,6 +49,8 @@ func kernelPinPairs() []pinPair {
 		{"FB-MX", relabel(treegen.FullBinary(15)), relabel(treegen.Mixed(14))},
 		{"random", treegen.Random(rng, treegen.RandomSpec{Size: 26, MaxDepth: 6, MaxFanout: 4, Labels: 3}),
 			treegen.Random(rng, treegen.RandomSpec{Size: 21, MaxDepth: 6, MaxFanout: 4, Labels: 3})},
+		{"tree-leaf", treegen.Random(rand.New(rand.NewSource(3)), treegen.RandomSpec{Size: 30, MaxDepth: 6, MaxFanout: 4, Labels: 3}),
+			br("{b}")},
 	}
 }
 
@@ -63,6 +67,7 @@ var pinnedCounters = map[string][6][4]int64{
 	"RB-ZZ":       {{481, 1014, 2, 5}, {425, 765, 2, 6}, {625, 930, 0, 5}, {625, 930, 0, 6}, {377, 630, 0, 5}, {377, 630, 0, 6}},
 	"FB-MX":       {{2624, 3360, 4, 8}, {2064, 2880, 3, 6}, {864, 1320, 0, 8}, {864, 1320, 0, 6}, {864, 1320, 0, 8}, {864, 1320, 0, 6}},
 	"random":      {{9486, 11781, 4, 10}, {11767, 14391, 4, 10}, {2530, 3640, 0, 10}, {2530, 3640, 0, 10}, {2610, 3740, 0, 10}, {2610, 3740, 0, 10}},
+	"tree-leaf":   {{69, 69, 5, 15}, {379, 465, 1, 1}, {77, 184, 0, 15}, {77, 184, 0, 1}, {74, 178, 0, 15}, {74, 178, 0, 1}},
 }
 
 // labelCosts is a non-unit model whose costs depend on the labels, with
@@ -98,6 +103,20 @@ func TestExactKernelMatchesBounded(t *testing.T) {
 	}
 	const tau = 1e9 // finite, so the run is bounded, but above any distance here
 	for _, p := range kernelPinPairs() {
+		if p.name == "tree-leaf" {
+			var tab chainTable
+			tab.build(p.f, cost.Compile(cost.Unit{}, p.f, p.g).Del)
+			var ch chain
+			tab.chainOf(p.f.Root(), p.f.Len(), &ch)
+			var left, right bool
+			for i := range ch.rem {
+				left = left || !ch.dirR[i]
+				right = right || (ch.dirR[i] && !ch.isTree[i])
+			}
+			if !left || !right {
+				t.Fatalf("tree-leaf: heavy chain lacks a left strip (%v) or a right strip (%v)", left, right)
+			}
+		}
 		want, ok := pinnedCounters[p.name]
 		if !ok {
 			t.Fatalf("no pinned counters for pair %s", p.name)

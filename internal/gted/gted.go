@@ -93,6 +93,9 @@ type Runner struct {
 	// private arena; batch workers share one arena across many runners.
 	ar       *Arena
 	liveRows int
+	// chainsReady records which sides' ΔI chain tables (Arena.chains,
+	// index 1 for swapped calls) this run has built.
+	chainsReady [2]bool
 
 	// Mirror-coordinate leafmost arrays for ΔR: for a node with mirror
 	// postorder id c, lfm[c] is the mirror postorder id of its rightmost
@@ -709,7 +712,7 @@ func (r *Runner) runSPF(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strateg
 	case strategy.Right:
 		r.spfLR(rightView(t1, r.mirrorLeafmost(t1)), v1, rightView(t2, r.mirrorLeafmost(t2)), v2, cm, dv, tcut)
 	default:
-		r.spfI(t1, v1, t2, v2, pt, cm, dv, tcut)
+		r.spfI(t1, v1, t2, v2, cm, dv, tcut)
 	}
 }
 

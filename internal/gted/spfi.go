@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/cost"
-	"repro/internal/strategy"
 	"repro/internal/tree"
 )
 
@@ -21,6 +20,21 @@ import (
 // its first t removed nodes; the possible transitions are "remove one
 // node" (t → t+1) and "remove the whole leftmost/rightmost subtree"
 // (t → t + size(subtree)).
+//
+// GTED sends only heavy paths here, and for v on a heavy path chain(F_v)
+// is the suffix of the chain of v's heavy-path top that starts at v's
+// tree state: past that state the top's chain is exactly F_v's removal
+// sequence. So a run builds, on its first ΔI call per orientation, one
+// chainTable per side holding every heavy-path top's chain (O(n log n)
+// entries, each node lying in O(log n) light subtrees) in the arena, and
+// each call reads its chain as a suffix. The suffix sums of delete costs
+// are the same bits, being summed in the same order from the same end.
+// The reference counts are the same except at the suffix's first state,
+// which no suffix state reads: a state before the suffix reads at most
+// the next tree state's row. Each call copies its counts, since the row
+// pool counts them down. The side is chosen by orientation, not by tree:
+// a self-distance run passes one tree twice, with delete costs on one
+// side and insert costs on the other.
 //
 // G-side: a forest of the full decomposition A(G) is exactly a node set
 // {x : pre(x) ≥ a ∧ post(x) ≤ b} (left removals erase a preorder prefix,
@@ -56,6 +70,21 @@ import (
 // loop's float operands and min order, so both loops agree bit for bit
 // wherever the bounded run prunes nothing.
 //
+// Many ΔI calls of an optimal strategy pair a heavy path with a one-node
+// G subtree y (every leaf of G roots one), where every row is one cell
+// beside its empty-forest slot. An exact run takes those calls through
+// spfIOneNode, a linear scan with one value per chain state:
+//
+//   - strip states (left and right alike): min(next+del(u),
+//     delCost[t]+ins(y), δ(F_u, y)+delCost[t+size(u)]);
+//   - tree states: min(next+del(u), delCost[t]+ins(y),
+//     delCost[t+1]+ren(u, y)), which is also written to the matrix as
+//     δ(F_u, y).
+//
+// These are spfIExact's operands in its min order. The scan builds no gside and takes no pooled rows, but
+// accounts the same subproblems and row cells, and the live-row peak the
+// pool would reach, which the chain table stores per state.
+//
 // ΔI rows stay dense even under SetSparseRows: a row is indexed by the
 // (a, b) decomposition cells, whose admissible band is a different
 // contiguous span per la-run, so compressing it would need a per-(row,
@@ -64,7 +93,9 @@ import (
 // contributes its dense rows to Stats.RowCells and benefits from the
 // sharp per-region band pricing below.
 
-// chain is the Definition 3 removal sequence for one subtree and path.
+// chain is the Definition 3 removal sequence of one subtree F_v along its
+// heavy path: a suffix of its heavy-path top's chain in a chainTable, plus
+// the per-call reference counts the row pool counts down.
 type chain struct {
 	rem     []int32   // node removed at state t (postorder id in T1)
 	size    []int32   // subtree size of rem[t]; the subtree-jump target is t+size
@@ -75,34 +106,73 @@ type chain struct {
 	hasLeft bool      // some state removes from the left (a left-strip state)
 }
 
-// build (re)fills ch for the subtree of t rooted at v, reusing the
-// backing arrays from previous calls.
-func (ch *chain) build(t *tree.Tree, v int, pt strategy.PathType, del []float64) {
-	s1 := t.Size(v)
-	ch.rem = growI32(&ch.rem, s1)
-	ch.size = growI32(&ch.size, s1)
-	ch.isTree = growBool(&ch.isTree, s1)
-	ch.dirR = growBool(&ch.dirR, s1)
-	ch.delCost = growF64(&ch.delCost, s1+1)
-	ch.refs = growI32(&ch.refs, s1+1)
-	for i := 0; i < s1; i++ {
-		ch.isTree[i] = false
-		ch.dirR[i] = false
-		ch.refs[i] = 0
+// chainTable holds the removal chain of every heavy-path top of one tree
+// under one orientation's delete costs, concatenated: a top's chain takes
+// size(top)+1 slots, the last one the empty state. Every node v lies on
+// exactly one heavy path, and chain(F_v) is the suffix of its top's chain
+// from v's tree state, slot start[v], to the top's empty state (see the
+// file comment).
+type chainTable struct {
+	start   []int32 // node -> slot of its tree state
+	hasLeft []bool  // node -> its chain suffix holds a left-strip state
+	rem     []int32
+	size    []int32
+	isTree  []bool
+	dirR    []bool
+	delCost []float64
+	refs    []int32 // reads of each slot's row by later states of the whole chain
+	// peak[t] is the most rows live at once while a ΔI call runs the
+	// chain suffix from slot t (the row pool's MaxLiveRows of that call).
+	peak []int32
+	work []int32 // build scratch
+}
+
+// build fills tab for the tree t under per-node delete costs del.
+func (tab *chainTable) build(t *tree.Tree, del []float64) {
+	n := t.Len()
+	isTop := func(v int) bool { p := t.Parent(v); return p == -1 || t.HeavyChild(p) != v }
+	slots := 0
+	for v := 0; v < n; v++ {
+		if isTop(v) {
+			slots += t.Size(v) + 1
+		}
 	}
-	ch.refs[s1] = 0
-	ch.delCost[s1] = 0
-	ch.hasLeft = false
-	pos := 0
-	for u := v; u != -1; u = strategy.PathChild(t, u, pt) {
+	tab.start = growI32(&tab.start, n)
+	tab.hasLeft = growBool(&tab.hasLeft, n)
+	tab.rem = growI32(&tab.rem, slots)
+	tab.size = growI32(&tab.size, slots)
+	tab.isTree = growBool(&tab.isTree, slots)
+	tab.dirR = growBool(&tab.dirR, slots)
+	tab.delCost = growF64(&tab.delCost, slots)
+	tab.refs = growI32(&tab.refs, slots)
+	tab.peak = growI32(&tab.peak, slots)
+	base := 0
+	for v := 0; v < n; v++ {
+		if isTop(v) {
+			tab.fill(t, v, base, del)
+			base += t.Size(v) + 1
+		}
+	}
+}
+
+// put writes one chain state into slot pos and returns the next slot.
+func (tab *chainTable) put(pos int, t *tree.Tree, x int, isTree, dirR bool) int {
+	tab.rem[pos] = int32(x)
+	tab.size[pos] = int32(t.Size(x))
+	tab.isTree[pos] = isTree
+	tab.dirR[pos] = dirR
+	return pos + 1
+}
+
+// fill writes the chain of the heavy-path top v into the slots from base.
+func (tab *chainTable) fill(t *tree.Tree, v, base int, del []float64) {
+	pos := base
+	for u := v; u != -1; u = t.HeavyChild(u) {
 		// The whole subtree F_u is a chain state; removing its root u
 		// starts the decomposition of its child forest.
-		ch.rem[pos] = int32(u)
-		ch.size[pos] = int32(t.Size(u))
-		ch.isTree[pos] = true
-		ch.dirR[pos] = true
-		pos++
-		next := strategy.PathChild(t, u, pt)
+		tab.start[u] = int32(pos)
+		pos = tab.put(pos, t, u, true, true)
+		next := t.HeavyChild(u)
 		if next == -1 {
 			break
 		}
@@ -114,40 +184,78 @@ func (ch *chain) build(t *tree.Tree, v int, pt strategy.PathType, del []float64)
 				break
 			}
 			for p := t.Pre(c); p < t.Pre(c)+t.Size(c); p++ {
-				x := t.ByPre(p)
-				ch.rem[pos] = int32(x)
-				ch.size[pos] = int32(t.Size(x))
-				ch.hasLeft = true
-				pos++
+				pos = tab.put(pos, t, t.ByPre(p), false, false)
 			}
 		}
 		// Right strip: subtrees right of the path child vanish in
 		// reverse postorder (each removal takes the rightmost root).
-		for i := len(kids) - 1; ; i-- {
-			c := kids[i]
-			if c == next {
-				break
-			}
-			for x := c; x >= t.SubtreeFirst(c); x-- {
-				ch.rem[pos] = int32(x)
-				ch.size[pos] = int32(t.Size(x))
-				ch.dirR[pos] = true
-				pos++
+		for i := len(kids) - 1; kids[i] != next; i-- {
+			for x := kids[i]; x >= t.SubtreeFirst(kids[i]); x-- {
+				pos = tab.put(pos, t, x, false, true)
 			}
 		}
 	}
-	if pos != s1 {
+	end := base + t.Size(v)
+	if pos != end {
 		panic("gted: chain construction dropped nodes")
 	}
-	for i := s1 - 1; i >= 0; i-- {
-		ch.delCost[i] = ch.delCost[i+1] + del[ch.rem[i]]
-	}
-	for i := 0; i < s1; i++ {
-		ch.refs[i+1]++
-		if !ch.isTree[i] {
-			ch.refs[i+int(ch.size[i])]++
+	tab.rem[end], tab.size[end], tab.isTree[end], tab.dirR[end] = 0, 0, false, false
+	tab.delCost[end] = 0
+	hasLeft := false
+	for i := end - 1; i >= base; i-- {
+		tab.delCost[i] = tab.delCost[i+1] + del[tab.rem[i]]
+		hasLeft = hasLeft || !tab.dirR[i]
+		if tab.isTree[i] {
+			tab.hasLeft[tab.rem[i]] = hasLeft
 		}
 	}
+	refs := tab.refs[base : end+1]
+	clear(refs)
+	for i := base; i < end; i++ {
+		refs[i+1-base]++
+		if !tab.isTree[i] {
+			refs[i+int(tab.size[i])-base]++
+		}
+	}
+	// Replay the row pool's takes and drops (spfI) over the whole chain.
+	// A call on a suffix sees the same live rows from its first state on:
+	// no state before the suffix reads a row past the suffix's first one.
+	cnt := growI32(&tab.work, end+1-base)
+	copy(cnt, refs)
+	drop := func(j int) int32 {
+		if j < end {
+			if cnt[j-base]--; cnt[j-base] == 0 {
+				return 1
+			}
+		}
+		return 0
+	}
+	live := int32(0)
+	tab.peak[end] = 0
+	for i := end - 1; i >= base; i-- {
+		live++
+		tab.peak[i] = max(live, tab.peak[i+1])
+		live -= drop(i + 1)
+		if !tab.isTree[i] {
+			live -= drop(i + int(tab.size[i]))
+		}
+	}
+}
+
+// chainOf points ch at chain(F_v), v's suffix of the table, and copies
+// the suffix's reference counts into ch's own buffer for the row pool to
+// count down. The suffix's first state has no reader inside it.
+func (tab *chainTable) chainOf(v, s1 int, ch *chain) {
+	o := int(tab.start[v])
+	ch.rem = tab.rem[o : o+s1]
+	ch.size = tab.size[o : o+s1]
+	ch.isTree = tab.isTree[o : o+s1]
+	ch.dirR = tab.dirR[o : o+s1]
+	ch.delCost = tab.delCost[o : o+s1+1]
+	ch.hasLeft = tab.hasLeft[v]
+	refs := growI32(&ch.refs, s1+1)
+	copy(refs, tab.refs[o:o+s1+1])
+	refs[0] = 0
 }
 
 // gside indexes the full decomposition A(G_w) of one subtree. All
@@ -289,18 +397,31 @@ func (gs *gside) leftTargets(tab []int32, la, from int, drop int32) {
 }
 
 // spfI runs the ΔI DP for the subtree of t1 rooted at v1, decomposed
-// along its path of type pt, against the subtree of t2 rooted at v2.
+// along its heavy path (the only path type GTED sends here), against the
+// subtree of t2 rooted at v2.
 // Precondition: the distance matrix holds δ(T1_x, T2_y) for every x in a
 // subtree hanging off the path and every y in T2_v2. Postcondition: it
 // additionally holds δ(T1_x, T2_y) for every x ON the path. In bounded
 // mode (tcut finite) cells whose forest sizes differ by more than the
 // cheapest operations allow under tcut are saturated to +Inf, as in
 // spfLR.
-func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.PathType, cm *cost.Compiled, dv dview, tcut float64) {
-	ch := &r.ar.ch
-	ch.build(t1, v1, pt, cm.Del)
-	r.ar.gs.build(t2, v2, cm.Ins)
+func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, cm *cost.Compiled, dv dview, tcut float64) {
+	tab := r.chains(t1, cm, dv.swap)
 	s1 := t1.Size(v1)
+	// With both operation minima zero no size argument can prove a cell
+	// above the cutoff, so such a run is exact.
+	bounded := r.bounded && !math.IsInf(tcut, 1)
+	if bounded {
+		oc := r.opCostsFor(cm)
+		bounded = oc.dmin > 0 || oc.imin > 0
+	}
+	if !bounded && t2.Size(v2) == 1 {
+		r.spfIOneNode(tab, v1, s1, v2, cm, dv)
+		return
+	}
+	ch := &r.ar.ch
+	tab.chainOf(v1, s1, ch)
+	r.ar.gs.build(t2, v2, cm.Ins)
 
 	// Chain-state rows come from the arena: the rows slice is grown in
 	// place (entries beyond the previous length are nil by the cleanup
@@ -311,14 +432,6 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 		r.ar.rows = grown
 	}
 	rows := r.ar.rows[:s1+1]
-
-	// With both operation minima zero no size argument can prove a cell
-	// above the cutoff, so such a run is exact.
-	bounded := r.bounded && !math.IsInf(tcut, 1)
-	if bounded {
-		oc := r.opCostsFor(cm)
-		bounded = oc.dmin > 0 || oc.imin > 0
-	}
 	if bounded {
 		r.spfIBounded(t1, v1, t2, v2, cm, dv, tcut, rows)
 	} else {
@@ -334,6 +447,60 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 			r.liveRows--
 		}
 	}
+}
+
+// chains returns the chain table of the tree t1 that ΔI decomposes,
+// building it on the run's first ΔI call on that side. The side is the
+// orientation, not the tree: a self-distance run passes one tree twice,
+// with delete costs on one side and insert costs on the other.
+func (r *Runner) chains(t1 *tree.Tree, cm *cost.Compiled, swap bool) *chainTable {
+	side := 0
+	if swap {
+		side = 1
+	}
+	tab := &r.ar.chains[side]
+	if !r.chainsReady[side] {
+		tab.build(t1, cm.Del)
+		r.chainsReady[side] = true
+	}
+	return tab
+}
+
+// spfIOneNode is spfIExact against a one-node G subtree y. Every chain
+// state's row is then the single cell δ(F_t, y) beside its empty-forest
+// slot δ(F_t, ∅) = delCost[t], and every state kind's three reads reduce
+// to the previous state's cell, delCost entries and one matrix entry: a
+// linear scan with the exact loop's operands in its min order. It
+// accounts the subproblems, row cells and live rows the pooled rows would
+// have.
+func (r *Runner) spfIOneNode(tab *chainTable, v1, s1, y int, cm *cost.Compiled, dv dview) {
+	o := int(tab.start[v1])
+	rem, size, isTree := tab.rem[o:o+s1], tab.size[o:o+s1], tab.isTree[o:o+s1]
+	delCost := tab.delCost[o : o+s1+1]
+	insY := cm.Ins[y]
+	d := dv.d
+	next := insY // δ(∅, y)
+	for t := s1 - 1; t >= 0; t-- {
+		u := int(rem[t])
+		base, stride := dv.line(u)
+		at := base + y*stride // δ(F_u, G_y)
+		val := next + cm.Del[u]
+		if x := delCost[t] + insY; x < val {
+			val = x
+		}
+		if isTree[t] {
+			if x := delCost[t+1] + cm.Ren(u, y); x < val {
+				val = x
+			}
+			d[at] = val
+		} else if x := d[at] + delCost[t+int(size[t])]; x < val {
+			val = x
+		}
+		next = val
+	}
+	r.stats.Subproblems += int64(s1)
+	r.stats.RowCells += int64(s1)
+	r.stats.MaxLiveRows = max(r.stats.MaxLiveRows, r.liveRows+int(tab.peak[o]))
 }
 
 // takeRow installs a pooled buffer as chain state t's row and accounts

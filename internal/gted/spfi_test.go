@@ -1,7 +1,9 @@
 package gted
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,20 +13,101 @@ import (
 	"repro/internal/treegen"
 )
 
-// TestChainDefinition3 checks the removal chain against Definition 3 on
-// random trees and all three path types: every node is removed exactly
-// once, tree states are exactly the path nodes, the first removal is the
-// root, left removals precede right removals within each path segment,
+// oracleChain builds the Definition 3 removal chain of the subtree of t
+// rooted at v along its path of type pt directly, one subtree at a time.
+// It is the per-call construction ΔI used before the per-run chain
+// tables, kept as the tables' oracle.
+func oracleChain(t *tree.Tree, v int, pt strategy.PathType, del []float64) chain {
+	s1 := t.Size(v)
+	ch := chain{
+		rem:     make([]int32, 0, s1),
+		size:    make([]int32, 0, s1),
+		isTree:  make([]bool, 0, s1),
+		dirR:    make([]bool, 0, s1),
+		delCost: make([]float64, s1+1),
+		refs:    make([]int32, s1+1),
+	}
+	add := func(x int, isTree, dirR bool) {
+		ch.rem = append(ch.rem, int32(x))
+		ch.size = append(ch.size, int32(t.Size(x)))
+		ch.isTree = append(ch.isTree, isTree)
+		ch.dirR = append(ch.dirR, dirR)
+	}
+	for u := v; u != -1; u = strategy.PathChild(t, u, pt) {
+		add(u, true, true)
+		next := strategy.PathChild(t, u, pt)
+		if next == -1 {
+			break
+		}
+		kids := t.Children(u)
+		for _, c := range kids {
+			if c == next {
+				break
+			}
+			for p := t.Pre(c); p < t.Pre(c)+t.Size(c); p++ {
+				add(t.ByPre(p), false, false)
+				ch.hasLeft = true
+			}
+		}
+		for i := len(kids) - 1; kids[i] != next; i-- {
+			for x := kids[i]; x >= t.SubtreeFirst(kids[i]); x-- {
+				add(x, false, true)
+			}
+		}
+	}
+	for i := s1 - 1; i >= 0; i-- {
+		ch.delCost[i] = ch.delCost[i+1] + del[ch.rem[i]]
+	}
+	for i := 0; i < s1; i++ {
+		ch.refs[i+1]++
+		if !ch.isTree[i] {
+			ch.refs[i+int(ch.size[i])]++
+		}
+	}
+	return ch
+}
+
+// poolPeak replays the row pool's takes and drops over ch and returns
+// the most rows live at once.
+func poolPeak(ch chain) int32 {
+	s1 := len(ch.rem)
+	refs := append([]int32(nil), ch.refs...)
+	var live, peak int32
+	drop := func(j int) {
+		if j < s1 {
+			if refs[j]--; refs[j] == 0 {
+				live--
+			}
+		}
+	}
+	for i := s1 - 1; i >= 0; i-- {
+		live++
+		peak = max(peak, live)
+		drop(i + 1)
+		if !ch.isTree[i] {
+			drop(i + int(ch.size[i]))
+		}
+	}
+	return peak
+}
+
+// TestChainDefinition3 checks the per-run chain table against
+// Definition 3 on random trees: for every node v, the table's chain of
+// F_v — a suffix of its heavy-path top's chain — must equal the chain
+// oracleChain builds for F_v alone, with delete-cost sums equal bit for
+// bit under a non-unit model and the same reference counts, and its
+// stored peak must equal the row pool's on that chain. The oracle itself
+// is checked on all three path types: every node is removed exactly once,
+// tree states are exactly the path nodes, the first removal is the root,
 // and subtree-jump targets stay within bounds.
 func TestChainDefinition3(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 60; iter++ {
-		tr := treegen.Random(rng, treegen.RandomSpec{Size: 1 + rng.Intn(60), MaxDepth: 9, MaxFanout: 5})
-		cm := cost.Compile(cost.Unit{}, tr, tr)
+		tr := treegen.Random(rng, treegen.RandomSpec{Size: 1 + rng.Intn(60), MaxDepth: 9, MaxFanout: 5, Labels: 4})
+		n := tr.Len()
+		unit := cost.Compile(cost.Unit{}, tr, tr)
 		for _, pt := range []strategy.PathType{strategy.Left, strategy.Right, strategy.Heavy} {
-			var ch chain
-			ch.build(tr, tr.Root(), pt, cm.Del)
-			n := tr.Len()
+			ch := oracleChain(tr, tr.Root(), pt, unit.Del)
 			seen := make([]bool, n)
 			var treeStates []int
 			for i, x := range ch.rem {
@@ -32,9 +115,6 @@ func TestChainDefinition3(t *testing.T) {
 					t.Fatalf("node %d removed twice (path %v)\n%s", x, pt, tr)
 				}
 				seen[x] = true
-				if int(ch.size[i]) != tr.Size(int(x)) {
-					t.Fatalf("chain size mismatch at %d", i)
-				}
 				if ch.isTree[i] {
 					treeStates = append(treeStates, int(x))
 				}
@@ -60,6 +140,32 @@ func TestChainDefinition3(t *testing.T) {
 				if ch.delCost[i] != float64(n-i) {
 					t.Fatalf("delCost[%d] = %v want %d", i, ch.delCost[i], n-i)
 				}
+			}
+		}
+
+		del := cost.Compile(labelCosts, tr, tr).Del
+		var tab chainTable
+		tab.build(tr, del)
+		for v := 0; v < n; v++ {
+			s1 := tr.Size(v)
+			var got chain
+			tab.chainOf(v, s1, &got)
+			want := oracleChain(tr, v, strategy.Heavy, del)
+			if !slices.Equal(got.rem, want.rem) || !slices.Equal(got.size, want.size) ||
+				!slices.Equal(got.isTree, want.isTree) || !slices.Equal(got.dirR, want.dirR) ||
+				got.hasLeft != want.hasLeft {
+				t.Fatalf("node %d: table chain %+v, oracle %+v\n%s", v, got, want, tr)
+			}
+			for i := range want.delCost {
+				if math.Float64bits(got.delCost[i]) != math.Float64bits(want.delCost[i]) {
+					t.Fatalf("node %d: delCost[%d] = %v, oracle %v", v, i, got.delCost[i], want.delCost[i])
+				}
+			}
+			if !slices.Equal(got.refs, want.refs) {
+				t.Fatalf("node %d: refs %v, oracle %v", v, got.refs, want.refs)
+			}
+			if p := tab.peak[tab.start[v]]; p != poolPeak(want) {
+				t.Fatalf("node %d: table peak %d, pool peak %d", v, p, poolPeak(want))
 			}
 		}
 	}
